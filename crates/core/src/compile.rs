@@ -354,53 +354,40 @@ pub fn compile_answer(
     })
 }
 
-/// Wrap an answer plan with the flock's filter: group by the parameter
-/// columns, aggregate, threshold, and project the parameters — the
-/// flock's *result* (§2: "a query flock is a query about its
-/// parameters").
-pub fn filter_answer(
-    answer: &CompiledRule,
-    rule0: &ConjunctiveQuery,
+/// The engine aggregate a flock filter compiles to over an
+/// extended-answer layout with `n_params` leading parameter columns:
+/// `COUNT` counts rows, `SUM`/`MIN`/`MAX` read the column holding the
+/// filter variable's head position in `rule0`.
+pub fn agg_fn(
     filter: &FilterCondition,
-) -> Result<PhysicalPlan> {
-    let group: Vec<usize> = (0..answer.n_params).collect();
-    let agg = match filter.agg {
-        FilterAgg::Count => AggFn::Count,
-        FilterAgg::Sum(v) | FilterAgg::Min(v) | FilterAgg::Max(v) => {
-            let pos = rule0
-                .head
-                .args
-                .iter()
-                .position(|&t| t == Term::Var(v))
-                .ok_or_else(|| FlockError::FilterVarUnknown {
-                    var: format!("{v}"),
-                })?;
-            let col = answer.n_params + pos;
-            match filter.agg {
-                FilterAgg::Sum(_) => AggFn::Sum(col),
-                FilterAgg::Min(_) => AggFn::Min(col),
-                _ => AggFn::Max(col),
-            }
-        }
+    rule0: &ConjunctiveQuery,
+    n_params: usize,
+) -> Result<AggFn> {
+    let Some(v) = filter.agg.head_var() else {
+        return Ok(AggFn::Count);
     };
-    let agg_col = answer.n_params; // aggregate output follows group cols.
-    let plan = PhysicalPlan::aggregate(answer.plan.clone(), group.clone(), agg);
-    let plan = PhysicalPlan::select(
-        plan,
-        vec![Predicate::col_const(
-            agg_col,
-            filter.op,
-            qf_storage::Value::int(filter.threshold),
-        )],
-    );
-    Ok(PhysicalPlan::project(plan, group))
+    let pos = rule0
+        .head
+        .args
+        .iter()
+        .position(|&t| t == Term::Var(v))
+        .ok_or_else(|| FlockError::FilterVarUnknown {
+            var: format!("{v}"),
+        })?;
+    let col = n_params + pos;
+    Ok(match filter.agg {
+        FilterAgg::Sum(_) => AggFn::Sum(col),
+        FilterAgg::Min(_) => AggFn::Min(col),
+        _ => AggFn::Max(col),
+    })
 }
 
-/// [`filter_answer`] without the final parameter projection: the plan
-/// yields `(params…, aggregate)` rows for every parameter assignment
-/// passing the filter. Projecting away the trailing aggregate column
-/// recovers the flock result exactly; *keeping* it lets a result cache
-/// re-filter the rows to answer any request whose filter the baseline
+/// Wrap an answer plan with the flock's filter: group by the parameter
+/// columns, aggregate, and threshold. The plan yields
+/// `(params…, aggregate)` rows for every parameter assignment passing
+/// the filter. Projecting away the trailing aggregate column recovers
+/// the flock result exactly; *keeping* it lets a result cache re-filter
+/// the rows to answer any request whose filter the baseline
 /// [subsumes](FilterCondition::subsumes) — the server's monotone reuse.
 pub fn filter_answer_scored(
     answer: &CompiledRule,
@@ -408,25 +395,7 @@ pub fn filter_answer_scored(
     filter: &FilterCondition,
 ) -> Result<PhysicalPlan> {
     let group: Vec<usize> = (0..answer.n_params).collect();
-    let agg = match filter.agg {
-        FilterAgg::Count => AggFn::Count,
-        FilterAgg::Sum(v) | FilterAgg::Min(v) | FilterAgg::Max(v) => {
-            let pos = rule0
-                .head
-                .args
-                .iter()
-                .position(|&t| t == Term::Var(v))
-                .ok_or_else(|| FlockError::FilterVarUnknown {
-                    var: format!("{v}"),
-                })?;
-            let col = answer.n_params + pos;
-            match filter.agg {
-                FilterAgg::Sum(_) => AggFn::Sum(col),
-                FilterAgg::Min(_) => AggFn::Min(col),
-                _ => AggFn::Max(col),
-            }
-        }
-    };
+    let agg = agg_fn(filter, rule0, answer.n_params)?;
     let plan = PhysicalPlan::aggregate(answer.plan.clone(), group, agg);
     Ok(PhysicalPlan::select(
         plan,
@@ -553,11 +522,12 @@ mod tests {
         let rule = parse_rule("answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2").unwrap();
         let db = basket_db();
         let compiled = compile_rule(&rule, &db, JoinOrderStrategy::AsWritten).unwrap();
-        let plan = filter_answer(&compiled, &rule, &FilterCondition::support(2)).unwrap();
+        let plan = filter_answer_scored(&compiled, &rule, &FilterCondition::support(2)).unwrap();
         let rel = execute(&plan, &db).unwrap();
         // (beer, diapers) appears in baskets 1 and 2 → passes ≥2.
         assert_eq!(rel.len(), 1);
-        let plan = filter_answer(&compiled, &rule, &FilterCondition::support(3)).unwrap();
+        assert_eq!(rel.tuples()[0].get(2), Value::int(2));
+        let plan = filter_answer_scored(&compiled, &rule, &FilterCondition::support(3)).unwrap();
         let rel = execute(&plan, &db).unwrap();
         assert!(rel.is_empty());
     }

@@ -28,12 +28,15 @@
 
 use qf_datalog::{Atom, Term};
 use qf_engine::{
-    execute_with, AggFn, EngineError, ExecContext, Operand, PhysicalPlan, Predicate, Resource,
+    execute_with, EngineError, ExecContext, Operand, PhysicalPlan, Predicate, Resource,
 };
-use qf_storage::{Database, FastMap, FastSet, HashIndex, Relation, Schema, Symbol, Tuple, Value};
+use qf_storage::{Database, FastMap, FastSet, HashIndex, Relation, Schema, Symbol, Tuple};
 
-use crate::compile::{atom_order, build_leaf, Binding, JoinOrderStrategy};
+use crate::compile::{
+    atom_order, build_leaf, filter_answer_scored, Binding, CompiledRule, JoinOrderStrategy,
+};
 use crate::error::{FlockError, Result};
+use crate::eval::flock_result_from_scored;
 use crate::filter::FilterAgg;
 use crate::flock::QueryFlock;
 
@@ -572,46 +575,21 @@ fn final_filter(
         projected,
     ));
 
-    let group: Vec<usize> = (0..param_cols.len()).collect();
-    let rule0 = &flock.query().rules()[0];
-    let agg = match flock.filter().agg {
-        FilterAgg::Count => AggFn::Count,
-        FilterAgg::Sum(v) | FilterAgg::Min(v) | FilterAgg::Max(v) => {
-            let pos = rule0
-                .head
-                .args
-                .iter()
-                .position(|&t| t == Term::Var(v))
-                .ok_or_else(|| FlockError::FilterVarUnknown {
-                    var: format!("{v}"),
-                })?;
-            let col = param_cols.len() + pos;
-            match flock.filter().agg {
-                FilterAgg::Sum(_) => AggFn::Sum(col),
-                FilterAgg::Min(_) => AggFn::Min(col),
-                _ => AggFn::Max(col),
-            }
-        }
+    let answer = CompiledRule {
+        plan: PhysicalPlan::scan(TMP),
+        n_params: param_cols.len(),
+        n_head: head_cols.len(),
     };
-    let plan = PhysicalPlan::project(
-        PhysicalPlan::select(
-            PhysicalPlan::aggregate(PhysicalPlan::scan(TMP), group.clone(), agg),
-            vec![Predicate::col_const(
-                group.len(),
-                flock.filter().op,
-                Value::int(flock.filter().threshold),
-            )],
-        ),
-        group,
-    );
-    let rel = execute_with(&plan, &tmp, ctx)?;
-    Ok(crate::eval::as_flock_result(flock, &rel))
+    let plan = filter_answer_scored(&answer, &flock.query().rules()[0], flock.filter())?;
+    let scored = execute_with(&plan, &tmp, ctx)?;
+    Ok(flock_result_from_scored(flock, &scored, flock.filter()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::evaluate_direct;
+    use qf_storage::Value;
 
     /// Skewed basket data: hot pair in every basket, singleton noise.
     fn basket_db() -> Database {

@@ -1,8 +1,8 @@
 //! Direct and reference evaluation of query flocks.
 //!
-//! * [`evaluate_direct`] computes the flock with one monolithic plan —
-//!   join everything, group by the parameters, apply the filter — i.e.
-//!   exactly what the Fig. 1 SQL does. This is the baseline the
+//! * [`evaluate_direct`] computes the flock with the one-step direct
+//!   plan — join everything, group by the parameters, apply the filter
+//!   — i.e. exactly what the Fig. 1 SQL does. This is the baseline the
 //!   generalized a-priori rewrites are measured against.
 //! * [`evaluate_naive`] is the paper's *definition* made executable:
 //!   "trying all such assignments in the query, evaluating the query,
@@ -16,19 +16,10 @@ use qf_datalog::{ConjunctiveQuery, Literal, Term};
 use qf_engine::{execute_with, ExecContext};
 use qf_storage::{Database, Relation, Schema, Tuple, Value};
 
-use crate::compile::{compile_answer, filter_answer, JoinOrderStrategy};
+use crate::compile::JoinOrderStrategy;
 use crate::error::{FlockError, Result};
 use crate::filter::FilterAgg;
 use crate::flock::QueryFlock;
-
-/// Rebuild `rel` under a schema naming the flock's parameter columns.
-pub(crate) fn as_flock_result(flock: &QueryFlock, rel: &Relation) -> Relation {
-    let names: Vec<String> = flock.param_names();
-    Relation::from_sorted_dedup(
-        Schema::from_columns("flock_result", names),
-        rel.tuples().to_vec(),
-    )
-}
 
 /// Recover a flock result from a *scored* relation (`params…, agg`,
 /// see [`crate::execute_plan_scored_with`]): keep rows whose aggregate
@@ -67,53 +58,19 @@ pub fn evaluate_direct(
     evaluate_direct_with(flock, db, strategy, &ExecContext::unbounded())
 }
 
-/// [`evaluate_direct`] under an execution governor: the monolithic plan
-/// (and the SUM-precondition scan) run with `ctx`'s budgets, deadline
-/// and cancellation token.
+/// [`evaluate_direct`] under an execution governor: the direct plan's
+/// single `FILTER` step (and the SUM-precondition check) run with
+/// `ctx`'s budgets, deadline and cancellation token.
 pub fn evaluate_direct_with(
     flock: &QueryFlock,
     db: &Database,
     strategy: JoinOrderStrategy,
     ctx: &ExecContext,
 ) -> Result<Relation> {
-    let answer = compile_answer(flock.query(), db, strategy)?;
-    check_sum_weights(flock, db, &answer, ctx)?;
-    let plan = filter_answer(&answer, &flock.query().rules()[0], flock.filter())?;
-    let rel = execute_with(&plan, db, ctx)?;
-    Ok(as_flock_result(flock, &rel))
-}
-
-/// For `SUM` filters, verify no negative weights reach the aggregate
-/// (the §5 monotonicity precondition). Cheap: checks the base answer's
-/// weight column min via one extra aggregation-free scan of the plan's
-/// output statistics.
-fn check_sum_weights(
-    flock: &QueryFlock,
-    db: &Database,
-    answer: &crate::compile::CompiledRule,
-    ctx: &ExecContext,
-) -> Result<()> {
-    if let FilterAgg::Sum(v) = flock.filter().agg {
-        let rule0 = &flock.query().rules()[0];
-        let pos = rule0
-            .head
-            .args
-            .iter()
-            .position(|&t| t == Term::Var(v))
-            .ok_or_else(|| FlockError::FilterVarUnknown {
-                var: format!("{v}"),
-            })?;
-        let col = answer.n_params + pos;
-        let rel = execute_with(&answer.plan, db, ctx)?;
-        if let Some(min) = rel.stats().column(col).min {
-            if min < Value::int(0) {
-                return Err(FlockError::NegativeWeight {
-                    detail: format!("minimum weight in answer is {min}"),
-                });
-            }
-        }
-    }
-    Ok(())
+    Ok(
+        crate::exec::execute_plan_with(&crate::plangen::direct_plan(flock)?, db, strategy, ctx)?
+            .result,
+    )
 }
 
 /// Cap on the number of parameter assignments [`evaluate_naive`] will

@@ -5,7 +5,9 @@
 //! by the step's parameters, applies the flock's filter condition, and
 //! materializes the surviving parameter assignments as a new relation
 //! in the working database — exactly the operational reading of
-//! `R(P) := FILTER(P, Q, C)` (§4.1).
+//! `R(P) := FILTER(P, Q, C)` (§4.1). The final step keeps each
+//! surviving assignment's aggregate value: one loop serves the flock
+//! result and the server's scored cache rows alike.
 //!
 //! Execution is instrumented: every step reports its answer size, group
 //! count, survivor count, and wall-clock time, which is what the
@@ -15,14 +17,17 @@
 use std::time::Instant;
 
 use qf_datalog::param_isomorphism;
-use qf_engine::{execute_with, ExecContext};
-use qf_storage::{Database, Relation, Schema, Symbol, Tuple};
+use qf_engine::{execute_with, AggFn, ExecContext, PhysicalPlan};
+use qf_storage::{Database, Relation, Schema, Symbol, Tuple, Value};
 
-use crate::compile::{compile_answer, filter_answer, JoinOrderStrategy};
+use crate::compile::{
+    agg_fn, compile_answer, filter_answer_scored, CompiledRule, JoinOrderStrategy,
+};
 use crate::error::Result;
-use crate::eval::as_flock_result;
+use crate::eval::flock_result_from_scored;
 use crate::filter::FilterAgg;
-use crate::plan::QueryPlan;
+use crate::plan::{FilterStep, QueryPlan};
+use crate::shard::scored_schema;
 
 /// Instrumentation for one executed `FILTER` step.
 #[derive(Clone, Debug)]
@@ -78,6 +83,21 @@ impl PlanExecution {
     }
 }
 
+/// The outcome of a *scored* plan execution: the flock's surviving
+/// parameter assignments with their aggregate values still attached.
+#[derive(Clone, Debug)]
+pub struct ScoredExecution {
+    /// `(params…, aggregate)` rows for every assignment passing the
+    /// flock's filter; columns are the parameter names plus `agg`.
+    /// Projecting away `agg` recovers the flock result exactly;
+    /// re-filtering by any condition the flock's filter
+    /// [subsumes](crate::FilterCondition::subsumes) answers that
+    /// condition exactly (see [`crate::flock_result_from_scored`]).
+    pub scored: Relation,
+    /// Per-step instrumentation, in execution order.
+    pub steps: Vec<StepReport>,
+}
+
 /// Execute a validated plan against `db`.
 ///
 /// `db` is not mutated; step outputs live in a working copy (relation
@@ -109,7 +129,7 @@ pub fn execute_plan_with(
     strategy: JoinOrderStrategy,
     ctx: &ExecContext,
 ) -> Result<PlanExecution> {
-    execute_plan_inner(plan, db, strategy, ctx, None)
+    execute_plan_inner(plan, db, strategy, ctx, None).map(|run| unscored(plan, run))
 }
 
 /// [`execute_plan_with`] journaled for crash-safe resume: each step's
@@ -126,23 +146,55 @@ pub fn execute_plan_journaled(
     ctx: &ExecContext,
     journal: &mut crate::journal::RunJournal,
 ) -> Result<PlanExecution> {
-    execute_plan_inner(plan, db, strategy, ctx, Some(journal))
+    execute_plan_inner(plan, db, strategy, ctx, Some(journal)).map(|run| unscored(plan, run))
 }
 
+/// [`execute_plan_with`], but the final `FILTER` step keeps the
+/// aggregate column: the plan's reductions run exactly as usual
+/// (including symmetry reuse and wave parallelism), while the last step
+/// aggregates and thresholds *without* projecting the aggregate away.
+/// This is what the server's result cache stores — one scored run at
+/// support `s` answers every request at a subsumed threshold `s' ≥ s`
+/// by re-filtering.
+pub fn execute_plan_scored_with(
+    plan: &QueryPlan,
+    db: &Database,
+    strategy: JoinOrderStrategy,
+    ctx: &ExecContext,
+) -> Result<ScoredExecution> {
+    execute_plan_inner(plan, db, strategy, ctx, None)
+}
+
+/// Drop a scored run's aggregate column: the flock result.
+fn unscored(plan: &QueryPlan, run: ScoredExecution) -> PlanExecution {
+    PlanExecution {
+        result: flock_result_from_scored(&plan.flock, &run.scored, plan.flock.filter()),
+        steps: run.steps,
+    }
+}
+
+/// The one plan loop behind every entry point. Each step evaluates to
+/// scored `(params…, agg)` rows; a reduction step commits their
+/// parameter prefix to the working database (and the journal), and the
+/// final step's scored rows are the run's output. The final step is
+/// never answered by symmetry reuse — renaming an earlier reduction
+/// cannot produce aggregate values — so it is always evaluated, unless
+/// the journal replays its scored snapshot.
 fn execute_plan_inner(
     plan: &QueryPlan,
     db: &Database,
     strategy: JoinOrderStrategy,
     ctx: &ExecContext,
     mut journal: Option<&mut crate::journal::RunJournal>,
-) -> Result<PlanExecution> {
+) -> Result<ScoredExecution> {
+    let last = plan.steps.len() - 1;
     let mut working = db.clone();
     let mut reports = Vec::with_capacity(plan.steps.len());
-    let mut result: Option<Relation> = None;
+    let mut scored: Option<Relation> = None;
     // Executed reduction steps, for parameter-symmetry reuse (§4.3
     // footnote 3: the single-parameter basket subqueries are "exactly
     // the same" up to renaming — evaluate once, rename the result).
-    let mut executed: Vec<(&crate::plan::FilterStep, Relation)> = Vec::new();
+    let mut executed: Vec<(&FilterStep, Relation)> = Vec::new();
 
     /// How a wave step obtains its result.
     enum Slot {
@@ -166,12 +218,22 @@ fn execute_plan_inner(
         .as_ref()
         .map_or(0, |j| j.contiguous_prefix(plan.steps.len()));
     for (idx, step) in plan.steps.iter().take(resume_prefix).enumerate() {
-        let named = match journal
+        let loaded = journal
             .as_ref()
             .expect("prefix > 0 implies journal")
             .load_step(idx)
-        {
-            Ok(named) => named,
+            .and_then(|rel| {
+                // The final step's snapshot must carry the aggregate.
+                if idx == last && rel.schema().arity() != step.params.len() + 1 {
+                    return Err(crate::error::FlockError::SnapshotCorrupt {
+                        step: idx,
+                        detail: "final snapshot holds no aggregate column".to_string(),
+                    });
+                }
+                Ok(rel)
+            });
+        let out = match loaded {
+            Ok(out) => out,
             Err(e @ crate::error::FlockError::SnapshotCorrupt { .. }) => {
                 ctx.record_degradation(
                     "journal-corrupt-snapshot",
@@ -187,14 +249,17 @@ fn execute_plan_inner(
             name: step.output.clone(),
             answer_tuples: 0,
             groups: 0,
-            survivors: named.len(),
+            survivors: out.len(),
             elapsed: std::time::Duration::ZERO,
             reused: false,
             resumed: true,
         });
-        working.insert(named.clone());
-        executed.push((step, named.clone()));
-        result = Some(named);
+        if idx == last {
+            scored = Some(out);
+        } else {
+            working.insert(out.clone());
+            executed.push((step, out));
+        }
     }
 
     let mut i = resume_prefix;
@@ -217,6 +282,10 @@ fn execute_plan_inner(
         // concurrent.
         let mut slots: Vec<Slot> = Vec::with_capacity(wave.len());
         for (w, step) in wave.iter().enumerate() {
+            if i + w == last {
+                slots.push(Slot::Eval);
+                continue;
+            }
             if let Some(renamed) = try_symmetric_reuse(step, &executed) {
                 slots.push(Slot::Prev(renamed));
                 continue;
@@ -236,16 +305,17 @@ fn execute_plan_inner(
         }
 
         // Evaluate the representatives in parallel over the immutable
-        // working database.
+        // working database, each within its share of the thread grant.
         let eval_idx: Vec<usize> = (0..wave.len())
             .filter(|&w| matches!(slots[w], Slot::Eval))
             .collect();
         if !eval_idx.is_empty() {
             ctx.note_workers(ctx.threads().min(eval_idx.len()).max(1));
         }
+        let share = wave_share(ctx, eval_idx.len());
         let working_ref = &working;
         let evaluated = qf_engine::par_items(&eval_idx, ctx.threads(), |&w| {
-            evaluate_step(plan, &wave[w], working_ref, strategy, ctx).map(|e| (w, e))
+            evaluate_step(plan, &wave[w], working_ref, strategy, &share).map(|e| (w, e))
         })?;
         let mut by_slot: Vec<Option<EvaluatedStep>> = (0..wave.len()).map(|_| None).collect();
         for (w, e) in evaluated {
@@ -256,8 +326,9 @@ fn execute_plan_inner(
         // exactly as they would under sequential execution.
         let mut named_by_w: Vec<Option<Relation>> = vec![None; wave.len()];
         for (w, step) in wave.iter().enumerate() {
+            let idx = i + w;
             let commit = Instant::now();
-            let (named, report) = match &slots[w] {
+            let (out, report) = match &slots[w] {
                 Slot::Prev(renamed) => reuse_commit(step, renamed.clone(), commit),
                 Slot::Rep(p) => {
                     let rep_named = named_by_w[*p]
@@ -269,7 +340,7 @@ fn execute_plan_inner(
                         // proved the isomorphism); evaluate as a fallback.
                         None => {
                             let e = evaluate_step(plan, step, &working, strategy, ctx)?;
-                            eval_commit(step, e)
+                            eval_commit(step, e, false)
                         }
                     }
                 }
@@ -283,7 +354,7 @@ fn execute_plan_inner(
                                     step.output
                                 ),
                             })?;
-                    eval_commit(step, e)
+                    eval_commit(step, e, idx == last)
                 }
             };
             if let Some(j) = journal.as_deref_mut() {
@@ -292,117 +363,49 @@ fn execute_plan_inner(
                 // journal) must not kill a run that is otherwise
                 // healthy. Record the degradation — resume will start
                 // from the last durable step — and stop journaling.
-                match j.record_step(i + w, &named) {
-                    Ok(()) => {
-                        for _ in 0..j.take_io_retries() {
-                            ctx.note_io_retry();
-                        }
-                    }
-                    Err(e) => {
-                        for _ in 0..j.take_io_retries() {
-                            ctx.note_io_retry();
-                        }
-                        ctx.record_degradation(
-                            "journal-advisory",
-                            format!(
-                                "{e}; continuing without journaling (resume disabled \
-                                 past step {})",
-                                i + w
-                            ),
-                        );
-                        journal = None;
-                    }
+                let recorded = j.record_step(idx, &out);
+                for _ in 0..j.take_io_retries() {
+                    ctx.note_io_retry();
+                }
+                if let Err(e) = recorded {
+                    ctx.record_degradation(
+                        "journal-advisory",
+                        format!(
+                            "{e}; continuing without journaling (resume disabled past step {idx})"
+                        ),
+                    );
+                    journal = None;
                 }
             }
             reports.push(report);
-            working.insert(named.clone());
-            executed.push((step, named.clone()));
-            named_by_w[w] = Some(named.clone());
-            result = Some(named);
+            if idx == last {
+                scored = Some(out);
+            } else {
+                working.insert(out.clone());
+                executed.push((step, out.clone()));
+                named_by_w[w] = Some(out);
+            }
         }
         i = end;
     }
 
-    let result = result.expect("validated plans are non-empty");
-    Ok(PlanExecution {
-        result: as_flock_result(&plan.flock, &result),
-        steps: reports,
-    })
-}
-
-/// The outcome of a *scored* plan execution: the flock's surviving
-/// parameter assignments with their aggregate values still attached.
-#[derive(Clone, Debug)]
-pub struct ScoredExecution {
-    /// `(params…, aggregate)` rows for every assignment passing the
-    /// flock's filter; columns are the parameter names plus `agg`.
-    /// Projecting away `agg` recovers the flock result exactly;
-    /// re-filtering by any condition the flock's filter
-    /// [subsumes](crate::FilterCondition::subsumes) answers that
-    /// condition exactly (see [`crate::flock_result_from_scored`]).
-    pub scored: Relation,
-    /// Per-step instrumentation, in execution order.
-    pub steps: Vec<StepReport>,
-}
-
-/// [`execute_plan_with`], but the final `FILTER` step keeps the
-/// aggregate column: the plan's reductions run exactly as usual
-/// (including symmetry reuse), while the last step aggregates and
-/// thresholds *without* projecting the aggregate away. This is what the
-/// server's result cache stores — one scored run at support `s` answers
-/// every request at a subsumed threshold `s' ≥ s` by re-filtering.
-///
-/// Steps run sequentially here (the server overlaps whole requests
-/// instead of waves within one); the engine still parallelizes inside
-/// each step's plan under `ctx.threads()`.
-pub fn execute_plan_scored_with(
-    plan: &QueryPlan,
-    db: &Database,
-    strategy: JoinOrderStrategy,
-    ctx: &ExecContext,
-) -> Result<ScoredExecution> {
-    let mut working = db.clone();
-    let mut reports = Vec::with_capacity(plan.steps.len());
-    let mut executed: Vec<(&crate::plan::FilterStep, Relation)> = Vec::new();
-    let last = plan.steps.len() - 1;
-    for step in &plan.steps[..last] {
-        let (named, report) = match try_symmetric_reuse(step, &executed) {
-            Some(renamed) => reuse_commit(step, renamed, Instant::now()),
-            None => {
-                let e = evaluate_step(plan, step, &working, strategy, ctx)?;
-                eval_commit(step, e)
-            }
-        };
-        reports.push(report);
-        working.insert(named.clone());
-        executed.push((step, named));
-    }
-    let step = &plan.steps[last];
-    let e = evaluate_step_scored(plan, step, &working, strategy, ctx)?;
-    let mut columns: Vec<String> = step.params.iter().map(|p| p.to_string()).collect();
-    columns.push("agg".to_string());
-    let scored = Relation::from_sorted_dedup(
-        Schema::from_columns("scored_result", columns),
-        e.filtered.tuples().to_vec(),
-    );
-    reports.push(StepReport {
-        name: step.output.clone(),
-        answer_tuples: e.answer_tuples,
-        groups: e.groups,
-        survivors: scored.len(),
-        elapsed: e.elapsed,
-        reused: false,
-        resumed: false,
-    });
     Ok(ScoredExecution {
-        scored,
+        scored: scored.expect("validated plans are non-empty"),
         steps: reports,
     })
+}
+
+/// The context each of a wave's `evaluated` concurrent steps runs
+/// under: `ctx`'s budgets, deadline and counters (clones share them),
+/// with the thread grant split evenly so that step workers times
+/// operator workers never exceeds [`ExecContext::threads`].
+fn wave_share(ctx: &ExecContext, evaluated: usize) -> ExecContext {
+    ctx.clone().with_threads(ctx.threads() / evaluated.max(1))
 }
 
 /// True when every relation `step`'s query references already exists in
 /// `working` — the condition for joining the current wave.
-fn step_inputs_ready(step: &crate::plan::FilterStep, working: &Database) -> bool {
+fn step_inputs_ready(step: &FilterStep, working: &Database) -> bool {
     step.query
         .rules()
         .iter()
@@ -414,21 +417,25 @@ fn step_inputs_ready(step: &crate::plan::FilterStep, working: &Database) -> bool
 struct EvaluatedStep {
     answer_tuples: usize,
     groups: usize,
-    filtered: Relation,
+    /// `(params…, agg)` rows passing the flock's filter.
+    scored: Relation,
     elapsed: std::time::Duration,
 }
 
-/// Evaluate one step's query against `working` and apply the flock's
-/// filter. Runs on a worker thread during wave-parallel execution, so
+/// Evaluate one step's query against `working`, group by the step's
+/// parameters, and apply the flock's filter, keeping the aggregate
+/// column. Runs on a worker thread during wave-parallel execution, so
 /// it only reads `working` and charges the shared governor.
 fn evaluate_step(
     plan: &QueryPlan,
-    step: &crate::plan::FilterStep,
+    step: &FilterStep,
     working: &Database,
     strategy: JoinOrderStrategy,
     ctx: &ExecContext,
 ) -> Result<EvaluatedStep> {
     let start = Instant::now();
+    let filter = plan.flock.filter();
+    let rule0 = &step.query.rules()[0];
     let answer = compile_answer(&step.query, working, strategy)?;
     // Under spill-to-disk, skip materializing the (possibly huge)
     // extended answer: fuse the filter's group-by/aggregate directly
@@ -438,121 +445,46 @@ fn evaluate_step(
     // check below needs the answer relation's column statistics — and
     // the per-step answer/group instrumentation is forgone (reported as
     // zero, like a symmetry-reused step).
-    if ctx.spill_enabled() && !matches!(plan.flock.filter().agg, FilterAgg::Sum(_)) {
-        let filter_plan = filter_answer(&answer, &step.query.rules()[0], plan.flock.filter())?;
-        let filtered = execute_with(&filter_plan, working, ctx)?;
+    if ctx.spill_enabled() && !matches!(filter.agg, FilterAgg::Sum(_)) {
+        let scored = execute_with(&filter_answer_scored(&answer, rule0, filter)?, working, ctx)?;
         return Ok(EvaluatedStep {
             answer_tuples: 0,
             groups: 0,
-            filtered,
+            scored,
             elapsed: start.elapsed(),
         });
     }
     let answer_rel = execute_with(&answer.plan, working, ctx)?;
     // SUM-filter monotonicity precondition: no negative weights.
-    if let FilterAgg::Sum(v) = plan.flock.filter().agg {
-        let rule0 = &step.query.rules()[0];
-        if let Some(pos) = rule0
-            .head
-            .args
-            .iter()
-            .position(|&t| t == qf_datalog::Term::Var(v))
-        {
-            let col = answer.n_params + pos;
-            if let Some(min) = answer_rel.stats().column(col).min {
-                if min < qf_storage::Value::int(0) {
-                    return Err(crate::error::FlockError::NegativeWeight {
-                        detail: format!("step `{}`: minimum weight {min}", step.output),
-                    });
-                }
+    if let AggFn::Sum(col) = agg_fn(filter, rule0, answer.n_params)? {
+        if let Some(min) = answer_rel.stats().column(col).min {
+            if min < Value::int(0) {
+                return Err(crate::error::FlockError::NegativeWeight {
+                    detail: format!("step `{}`: minimum weight {min}", step.output),
+                });
             }
         }
     }
-    // Group by parameters, apply the flock's condition, keep params.
-    let filtered = filter_answer_rel(plan, step, &answer, &answer_rel, working, ctx)?;
-    let groups = count_groups(&answer_rel, answer.n_params);
-    Ok(EvaluatedStep {
-        answer_tuples: answer_rel.len(),
-        groups,
-        filtered,
-        elapsed: start.elapsed(),
-    })
-}
-
-/// [`evaluate_step`] in scored mode: aggregate and threshold but keep
-/// the aggregate column (`filter_answer_scored` instead of
-/// `filter_answer`). Same spill fusing and §5 negative-weight check.
-fn evaluate_step_scored(
-    plan: &QueryPlan,
-    step: &crate::plan::FilterStep,
-    working: &Database,
-    strategy: JoinOrderStrategy,
-    ctx: &ExecContext,
-) -> Result<EvaluatedStep> {
-    let start = Instant::now();
-    let answer = compile_answer(&step.query, working, strategy)?;
-    if ctx.spill_enabled() && !matches!(plan.flock.filter().agg, FilterAgg::Sum(_)) {
-        let scored_plan = crate::compile::filter_answer_scored(
-            &answer,
-            &step.query.rules()[0],
-            plan.flock.filter(),
-        )?;
-        let filtered = execute_with(&scored_plan, working, ctx)?;
-        return Ok(EvaluatedStep {
-            answer_tuples: 0,
-            groups: 0,
-            filtered,
-            elapsed: start.elapsed(),
-        });
-    }
-    let answer_rel = execute_with(&answer.plan, working, ctx)?;
-    if let FilterAgg::Sum(v) = plan.flock.filter().agg {
-        let rule0 = &step.query.rules()[0];
-        if let Some(pos) = rule0
-            .head
-            .args
-            .iter()
-            .position(|&t| t == qf_datalog::Term::Var(v))
-        {
-            let col = answer.n_params + pos;
-            if let Some(min) = answer_rel.stats().column(col).min {
-                if min < qf_storage::Value::int(0) {
-                    return Err(crate::error::FlockError::NegativeWeight {
-                        detail: format!("step `{}`: minimum weight {min}", step.output),
-                    });
-                }
-            }
-        }
-    }
-    let mut tmp = working.clone();
+    // Aggregate the materialized answer through the compiled filter by
+    // wrapping it as a scan under a reserved name.
     const TMP: &str = "__step_answer";
+    let mut tmp = Database::new();
     tmp.insert(answer_rel.renamed(TMP));
-    let wrapped = crate::compile::CompiledRule {
-        plan: qf_engine::PhysicalPlan::scan(TMP),
-        n_params: answer.n_params,
-        n_head: answer.n_head,
+    let wrapped = CompiledRule {
+        plan: PhysicalPlan::scan(TMP),
+        ..answer
     };
-    let scored_plan = crate::compile::filter_answer_scored(
-        &wrapped,
-        &step.query.rules()[0],
-        plan.flock.filter(),
-    )?;
-    let filtered = execute_with(&scored_plan, &tmp, ctx)?;
-    let groups = count_groups(&answer_rel, answer.n_params);
+    let scored = execute_with(&filter_answer_scored(&wrapped, rule0, filter)?, &tmp, ctx)?;
     Ok(EvaluatedStep {
         answer_tuples: answer_rel.len(),
-        groups,
-        filtered,
+        groups: count_groups(&answer_rel, wrapped.n_params),
+        scored,
         elapsed: start.elapsed(),
     })
 }
 
 /// Report + named relation for a step answered by renaming.
-fn reuse_commit(
-    step: &crate::plan::FilterStep,
-    renamed: Relation,
-    start: Instant,
-) -> (Relation, StepReport) {
+fn reuse_commit(step: &FilterStep, renamed: Relation, start: Instant) -> (Relation, StepReport) {
     let report = StepReport {
         name: step.output.clone(),
         answer_tuples: 0,
@@ -565,26 +497,33 @@ fn reuse_commit(
     (renamed, report)
 }
 
-/// Report + named relation for an evaluated step: materialize under the
-/// step's name with parameter column names.
-fn eval_commit(step: &crate::plan::FilterStep, e: EvaluatedStep) -> (Relation, StepReport) {
-    let named = Relation::from_sorted_dedup(
-        Schema::from_columns(
-            step.output.clone(),
-            step.params.iter().map(|p| p.to_string()).collect(),
-        ),
-        e.filtered.tuples().to_vec(),
-    );
+/// Report + committed relation for an evaluated step: the final step
+/// keeps its scored rows; a reduction step materializes their parameter
+/// prefix under the step's name. There is one scored row per group and
+/// the parameters lead, so the prefixes are already sorted and distinct.
+fn eval_commit(step: &FilterStep, e: EvaluatedStep, is_final: bool) -> (Relation, StepReport) {
+    let out = if is_final {
+        Relation::from_sorted_dedup(scored_schema(step), e.scored.tuples().to_vec())
+    } else {
+        let cols: Vec<usize> = (0..step.params.len()).collect();
+        Relation::from_sorted_dedup(
+            Schema::from_columns(
+                step.output.clone(),
+                step.params.iter().map(|p| p.to_string()).collect(),
+            ),
+            e.scored.iter().map(|t| t.project(&cols)).collect(),
+        )
+    };
     let report = StepReport {
         name: step.output.clone(),
         answer_tuples: e.answer_tuples,
         groups: e.groups,
-        survivors: named.len(),
+        survivors: out.len(),
         elapsed: e.elapsed,
         reused: false,
         resumed: false,
     };
-    (named, report)
+    (out, report)
 }
 
 /// If `step`'s query is isomorphic to an already-executed step's query
@@ -592,8 +531,8 @@ fn eval_commit(step: &crate::plan::FilterStep, e: EvaluatedStep) -> (Relation, S
 /// of the earlier result. Single-rule step queries only (union
 /// symmetry would need one consistent bijection across branches).
 fn try_symmetric_reuse(
-    step: &crate::plan::FilterStep,
-    executed: &[(&crate::plan::FilterStep, Relation)],
+    step: &FilterStep,
+    executed: &[(&FilterStep, Relation)],
 ) -> Option<Relation> {
     if step.query.rules().len() != 1 {
         return None;
@@ -624,29 +563,6 @@ fn try_symmetric_reuse(
         return Some(Relation::from_tuples(schema, tuples));
     }
     None
-}
-
-/// Apply the flock's filter to an already-materialized extended answer.
-fn filter_answer_rel(
-    plan: &QueryPlan,
-    step: &crate::plan::FilterStep,
-    answer: &crate::compile::CompiledRule,
-    answer_rel: &Relation,
-    working: &Database,
-    ctx: &ExecContext,
-) -> Result<Relation> {
-    // Reuse the compiled-plan path by wrapping the materialized answer
-    // as a scan: insert it under a reserved name.
-    let mut tmp = working.clone();
-    const TMP: &str = "__step_answer";
-    tmp.insert(answer_rel.renamed(TMP));
-    let wrapped = crate::compile::CompiledRule {
-        plan: qf_engine::PhysicalPlan::scan(TMP),
-        n_params: answer.n_params,
-        n_head: answer.n_head,
-    };
-    let filter_plan = filter_answer(&wrapped, &step.query.rules()[0], plan.flock.filter())?;
-    Ok(execute_with(&filter_plan, &tmp, ctx)?)
 }
 
 /// Distinct parameter prefixes in the extended answer.
@@ -864,6 +780,47 @@ mod tests {
         }
         // A looser threshold is NOT subsumed — the cache must refuse it.
         assert!(!crate::FilterCondition::support(2).subsumes(&crate::FilterCondition::support(1)));
+    }
+
+    #[test]
+    fn wave_steps_split_the_thread_grant() {
+        let ctx = ExecContext::unbounded()
+            .with_max_rows(1_000)
+            .with_threads(4);
+        for (evaluated, threads) in [(0, 4), (1, 4), (2, 2), (3, 1), (5, 1)] {
+            assert_eq!(
+                wave_share(&ctx, evaluated).threads(),
+                threads,
+                "{evaluated}"
+            );
+        }
+        // A share charges the run's governor, not a fresh one.
+        let share = wave_share(&ctx, 2);
+        share.charge_rows(600, 1).unwrap();
+        assert!(share.charge_rows(600, 1).is_err());
+        assert_eq!(ctx.stats().rows, share.stats().rows);
+    }
+
+    #[test]
+    fn parallel_wave_scored_run_matches_one_thread() {
+        // okS and okM form one wave of two evaluated steps; the scored
+        // run (the server's entry point) is identical at any grant.
+        let db = medical_db();
+        let scored = |threads: usize| {
+            execute_plan_scored_with(
+                &fig5_plan(2),
+                &db,
+                JoinOrderStrategy::Greedy,
+                &ExecContext::unbounded().with_threads(threads),
+            )
+            .unwrap()
+            .scored
+        };
+        let one = scored(1);
+        assert_eq!(one.len(), 1);
+        for threads in [2, 3, 4] {
+            assert_eq!(scored(threads), one, "{threads} threads");
+        }
     }
 
     #[test]

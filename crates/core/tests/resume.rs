@@ -127,6 +127,51 @@ fn partial_journal_resumes_remaining_steps() {
 }
 
 #[test]
+fn final_snapshot_without_aggregate_is_recomputed() {
+    // The final step journals its scored rows. A final snapshot holding
+    // only the parameter columns (the layout of an older executor's
+    // journal) cannot answer the run: the reductions replay, and the
+    // final step is recomputed as after a damaged snapshot.
+    let db = basket_db();
+    let plan = single_param_plan(&pairs_flock(), &db).unwrap();
+    let reference = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
+    let last = plan.len() - 1;
+    let dir = run_dir("params-only-final");
+    {
+        let mut scratch = open_journal(&run_dir("params-only-scratch"), &plan, &db);
+        execute_plan_journaled(
+            &plan,
+            &db,
+            JoinOrderStrategy::Greedy,
+            &ExecContext::unbounded(),
+            &mut scratch,
+        )
+        .unwrap();
+        let mut journal = open_journal(&dir, &plan, &db);
+        for idx in 0..last {
+            journal
+                .record_step(idx, &scratch.load_step(idx).unwrap())
+                .unwrap();
+        }
+        journal.record_step(last, &reference.result).unwrap();
+    }
+    let ctx = ExecContext::unbounded();
+    let mut journal = open_journal(&dir, &plan, &db);
+    let resumed =
+        execute_plan_journaled(&plan, &db, JoinOrderStrategy::Greedy, &ctx, &mut journal).unwrap();
+    assert_eq!(resumed.result.tuples(), reference.result.tuples());
+    assert!(resumed.steps[..last].iter().all(|s| s.resumed));
+    assert!(!resumed.steps[last].resumed, "{:?}", resumed.steps);
+    assert!(ctx
+        .stats()
+        .degradations
+        .iter()
+        .any(|d| d.stage == "journal-corrupt-snapshot"));
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(run_dir("params-only-scratch")).ok();
+}
+
+#[test]
 fn optimizer_journal_resumes_dynamic_and_static() {
     let db = basket_db();
     let flock = pairs_flock();

@@ -19,7 +19,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use qf_core::{FilterCondition, FlockDelta};
+use qf_core::{FilterCondition, FlockDelta, QueryFlock};
 use qf_storage::Relation;
 
 /// Cache key: canonical query text (threshold excluded — that is what
@@ -39,6 +39,19 @@ pub struct CacheKey {
     /// [`qf_storage::Database::fingerprint`] of the catalog the entry
     /// was computed against.
     pub catalog_fp: u64,
+}
+
+impl CacheKey {
+    /// The key for `flock` (whose canonical query text, with any
+    /// views, is `query`) against the catalog with fingerprint
+    /// `catalog_fp`.
+    pub fn new(query: String, flock: &QueryFlock, catalog_fp: u64) -> CacheKey {
+        CacheKey {
+            query,
+            agg_pos: flock.agg_head_pos(),
+            catalog_fp,
+        }
+    }
 }
 
 /// One cached scored evaluation.

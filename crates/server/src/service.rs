@@ -15,9 +15,9 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 use qf_core::{
-    best_plan_with, direct_plan, execute_plan_scored_with, flock_result_from_scored,
-    vacuous_filter, CancelToken, DeltaLimits, ExecContext, ExecStats, FilterCondition, FlockDelta,
-    FlockProgram, JoinOrderStrategy, QueryFlock, QueryPlan,
+    best_plan_with, direct_plan, evaluate_scored_partial, execute_plan_scored_with,
+    flock_result_from_scored, vacuous_filter, CancelToken, DeltaLimits, ExecContext, ExecStats,
+    FilterCondition, FlockDelta, FlockProgram, JoinOrderStrategy, QueryFlock, QueryPlan,
 };
 use qf_storage::{
     spill::content_hash, tsv, Database, Fnv1a, Relation, StorageError, Wal, WalCounters, WalRecord,
@@ -129,6 +129,11 @@ pub struct Counters {
     /// Tuples rescanned by the bounded MIN/MAX re-check during delta
     /// maintenance (see [`qf_engine::RECHECK_BOUND`]).
     pub recheck_tuples: AtomicU64,
+    /// Cold runs of a delta-maintainable flock whose maintenance-state
+    /// build was refused (over [`DeltaLimits`], or an invariant
+    /// failure): their cache entries are plain, so the next mutation of
+    /// a relation they read drops them.
+    pub delta_refused: AtomicU64,
 }
 
 impl Counters {
@@ -224,6 +229,17 @@ impl RequestHandler for LocalHandler {
             }
         }
     }
+}
+
+/// How [`FlockService::choose_plan`] found a cold request's plan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum PlanChoice {
+    /// The plan cache held a searched shape for the query.
+    Cached,
+    /// A fresh plan search, now in the plan cache.
+    Searched,
+    /// The one-step direct plan (non-monotone filter or failed search).
+    Direct,
 }
 
 /// The resident service state shared by every connection and worker.
@@ -462,11 +478,7 @@ impl FlockService {
             h.write(&content_hash(&rel).to_le_bytes());
             db.insert(rel);
         }
-        let key = CacheKey {
-            query: flock.canonical_query_text(),
-            agg_pos: flock.agg_head_pos(),
-            catalog_fp: h.finish(),
-        };
+        let key = CacheKey::new(flock.canonical_query_text(), &flock, h.finish());
 
         if let Some(hit) = unpoison(self.result_cache.lock()).lookup(&key, &canonical_filter) {
             self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -488,17 +500,13 @@ impl FlockService {
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
 
         let ctx = self.exec_context(&effective, granted_threads, deadline, cancel);
-        // Always the direct plan: a partial *is* one step of a plan the
-        // coordinator already searched; searching again here would only
-        // burn the budget the governor metered out.
-        let plan = direct_plan(&flock).map_err(ServerError::from_eval)?;
-        let run = execute_plan_scored_with(&plan, &db, JoinOrderStrategy::Greedy, &ctx)
+        let scored = evaluate_scored_partial(&flock, &db, JoinOrderStrategy::Greedy, &ctx)
             .map_err(ServerError::from_eval)?;
         unpoison(self.result_cache.lock()).insert(
             key,
             CachedResult {
                 baseline: canonical_filter,
-                scored: run.scored.clone(),
+                scored: scored.clone(),
                 strategy: "partial".to_string(),
                 // Partials fold scratch overlays into their cache key;
                 // the overlays are not catalog relations the delta path
@@ -508,7 +516,7 @@ impl FlockService {
         );
         let meta = json_report(
             "partial",
-            run.scored.len(),
+            scored.len(),
             start.elapsed().as_millis(),
             &ctx.stats(),
             0,
@@ -517,7 +525,7 @@ impl FlockService {
         );
         Ok(Response::Ok {
             meta,
-            body: render_tsv(&run.scored),
+            body: render_tsv(&scored),
         })
     }
 
@@ -593,19 +601,70 @@ impl FlockService {
         unpoison(self.result_cache.lock()).lookup(key, filter)
     }
 
-    /// Store a scored result in the service-tier cache.
-    pub(crate) fn result_cache_insert(&self, key: CacheKey, entry: CachedResult) {
-        unpoison(self.result_cache.lock()).insert(key, entry);
+    /// Choose a cold request's plan: the plan cache's shape for `key`
+    /// (shapes are threshold-free, so a search at any earlier
+    /// threshold counts), else a §4.3 search over `db` for monotone
+    /// filters (cached for the next request), else the direct plan.
+    /// Crate-visible so the shard coordinator plans identically.
+    pub(crate) fn choose_plan(
+        &self,
+        key: &CacheKey,
+        flock: &QueryFlock,
+        db: &Database,
+        ctx: &ExecContext,
+    ) -> Result<(QueryPlan, PlanChoice)> {
+        let cached = unpoison(self.plan_cache.lock()).lookup(key);
+        if let Some(plan) = cached.and_then(|steps| QueryPlan::new(flock.clone(), steps).ok()) {
+            return Ok((plan, PlanChoice::Cached));
+        }
+        if flock.filter().is_monotone() {
+            if let Ok((plan, _)) = best_plan_with(flock, db, ctx) {
+                unpoison(self.plan_cache.lock()).insert(key.clone(), plan.steps.clone());
+                return Ok((plan, PlanChoice::Searched));
+            }
+        }
+        let plan = direct_plan(flock).map_err(ServerError::from_eval)?;
+        Ok((plan, PlanChoice::Direct))
     }
 
-    /// Fetch a cached plan shape.
-    pub(crate) fn plan_cache_lookup(&self, key: &CacheKey) -> Option<Vec<qf_core::FilterStep>> {
-        unpoison(self.plan_cache.lock()).lookup(key)
-    }
-
-    /// Store a searched plan shape.
-    pub(crate) fn plan_cache_insert(&self, key: &CacheKey, steps: Vec<qf_core::FilterStep>) {
-        unpoison(self.plan_cache.lock()).insert(key.clone(), steps);
+    /// Cache a cold run's scored rows under `key`. Delta-maintainable
+    /// programs (no views; a single rule without negation) also get
+    /// incremental-maintenance state built over `db`: subsequent
+    /// `append`/`retract` batches on a touched relation then update the
+    /// entry in place instead of dropping it. A refused build (budget,
+    /// unsupported shape) stores a plain entry and counts
+    /// `delta_refused` — never an error. Crate-visible so the shard
+    /// coordinator fills its cache identically.
+    pub(crate) fn fill_cache(
+        &self,
+        key: CacheKey,
+        program: &FlockProgram,
+        db: &Database,
+        baseline: FilterCondition,
+        scored: Relation,
+        strategy: &str,
+    ) {
+        let flock = program.flock();
+        let delta = if program.views().is_empty() && FlockDelta::maintainable(flock) {
+            match FlockDelta::build(flock, db, &DeltaLimits::default()) {
+                Ok(d) => Some(Arc::new(Mutex::new(d))),
+                Err(_) => {
+                    self.counters.delta_refused.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
+            }
+        } else {
+            None
+        };
+        unpoison(self.result_cache.lock()).insert(
+            key,
+            CachedResult {
+                baseline,
+                scored,
+                strategy: strategy.to_string(),
+                delta,
+            },
+        );
     }
 
     /// Note a deadline expiry (queue, eval, or reply stage).
@@ -657,11 +716,7 @@ impl FlockService {
         let canonical_filter = flock.canonical_filter();
         let effective = self.admission_limits(limits)?;
         let (db, fp) = self.snapshot();
-        let key = CacheKey {
-            query: program.canonical_query_text(),
-            agg_pos: flock.agg_head_pos(),
-            catalog_fp: fp,
-        };
+        let key = CacheKey::new(program.canonical_query_text(), &flock, fp);
 
         // Monotone cache reuse: an entry whose baseline subsumes the
         // requested filter answers it exactly by re-filtering.
@@ -691,63 +746,16 @@ impl FlockService {
             .materialize_views_with(&db, JoinOrderStrategy::Greedy, &ctx)
             .map_err(ServerError::from_eval)?;
 
-        // Plan: cached shape if the same query was searched before
-        // (any threshold — shapes are threshold-free), else search.
-        let mut plan_cached = false;
-        let cached_steps = unpoison(self.plan_cache.lock()).lookup(&key);
-        let (plan, strategy) = match cached_steps
-            .and_then(|steps| QueryPlan::new(flock.clone(), steps).ok())
-        {
-            Some(plan) => {
-                plan_cached = true;
-                (plan, "static(plan-cache)")
-            }
-            None => {
-                let searched = if filter.is_monotone() {
-                    best_plan_with(&flock, &extended, &ctx)
-                        .ok()
-                        .map(|(plan, _)| plan)
-                } else {
-                    None
-                };
-                match searched {
-                    Some(plan) => {
-                        unpoison(self.plan_cache.lock()).insert(key.clone(), plan.steps.clone());
-                        (plan, "static")
-                    }
-                    None => (
-                        direct_plan(&flock).map_err(ServerError::from_eval)?,
-                        "direct",
-                    ),
-                }
-            }
+        let (plan, choice) = self.choose_plan(&key, &flock, &extended, &ctx)?;
+        let strategy = match choice {
+            PlanChoice::Cached => "static(plan-cache)",
+            PlanChoice::Searched => "static",
+            PlanChoice::Direct => "direct",
         };
-
         let run = execute_plan_scored_with(&plan, &extended, JoinOrderStrategy::Greedy, &ctx)
             .map_err(ServerError::from_eval)?;
         let result = flock_result_from_scored(&flock, &run.scored, &filter);
-        // Delta-maintainable flocks (single rule, no negation, no
-        // views) get incremental-maintenance state alongside the scored
-        // rows: subsequent `append`/`retract` batches on a touched
-        // relation then update the entry in place instead of dropping
-        // it. A failed build (budget, unsupported shape) degrades to a
-        // plain entry — never an error.
-        let delta = if program.views().is_empty() && FlockDelta::maintainable(&flock) {
-            FlockDelta::build(&flock, &db, &DeltaLimits::default())
-                .ok()
-                .map(|d| Arc::new(Mutex::new(d)))
-        } else {
-            None
-        };
-        unpoison(self.result_cache.lock()).insert(
-            key,
-            CachedResult {
-                baseline: canonical_filter,
-                scored: run.scored,
-                strategy: strategy.to_string(),
-                delta,
-            },
-        );
+        self.fill_cache(key, &program, &db, canonical_filter, run.scored, strategy);
         let meta = json_report(
             strategy,
             result.len(),
@@ -755,7 +763,7 @@ impl FlockService {
             &ctx.stats(),
             0,
             0,
-            &self.cache_report(false, plan_cached),
+            &self.cache_report(false, choice == PlanChoice::Cached),
         );
         Ok(Response::Ok {
             meta,
@@ -1220,7 +1228,7 @@ impl FlockService {
              \"delta_rebuilds\":{},\"recheck_tuples\":{},\
              \"wal_records\":{},\"wal_bytes\":{},\"snapshots\":{},\
              \"compactions\":{},\"recovered_records\":{},\"recovery_ms\":{},\
-             \"frags\":{},\"shutting_down\":{}}}",
+             \"frags\":{},\"shutting_down\":{},\"delta_refused\":{}}}",
             c.requests.load(Ordering::Relaxed),
             c.cache_hits.load(Ordering::Relaxed),
             c.cache_misses.load(Ordering::Relaxed),
@@ -1246,6 +1254,7 @@ impl FlockService {
             w.recovery_ms,
             self.fragment_count(),
             self.is_shutting_down(),
+            c.delta_refused.load(Ordering::Relaxed),
         )
     }
 }

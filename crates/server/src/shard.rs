@@ -71,21 +71,22 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use qf_core::{
-    best_plan_with, direct_plan, evaluate_scored_partial, flock_result_from_scored,
-    merge_scored_partials, partial_flock, partition_database, replica_workers, scored_schema,
-    shard_of, shardable_program, vacuous_filter, worker_fragments, CancelToken, DeltaLimits,
-    ExecContext, FilterStep, FlockDelta, FlockProgram, JoinOrderStrategy, QueryPlan,
+    evaluate_scored_partial, flock_result_from_scored, merge_scored_partials, partial_flock,
+    partition_database, replica_workers, scored_schema, shard_of, shardable_program,
+    vacuous_filter, worker_fragments, CancelToken, ExecContext, FilterStep, FlockProgram,
+    JoinOrderStrategy,
 };
 use qf_storage::{tsv, Database, Relation, Schema, Tuple};
 
-use crate::cache::{CacheKey, CachedResult};
+use crate::cache::CacheKey;
 use crate::client::{Client, ClientConfig};
 use crate::error::{Result, ServerError};
 use crate::pool::{Job, JobPayload};
 use crate::protocol::{Request, RequestLimits, Response};
 use crate::report::{extend_json, json_escape, json_report, json_u64};
 use crate::service::{
-    parse_program, refilter_scored, render_tsv, FlockService, RequestHandler, ServerConfig,
+    parse_program, refilter_scored, render_tsv, FlockService, PlanChoice, RequestHandler,
+    ServerConfig,
 };
 
 /// How often the gather loop re-polls for replies when no hedge is
@@ -800,11 +801,9 @@ impl Coordinator {
         }
         let (_, old_fp) = service.snapshot();
         let resp = local(None);
-        if resp.is_ok() {
-            if self.push_delta(rel, tsv, retract, old_fp).is_err() {
-                if let Err(e) = self.push_catalog() {
-                    return Response::from_error(&e);
-                }
+        if resp.is_ok() && self.push_delta(rel, tsv, retract, old_fp).is_err() {
+            if let Err(e) = self.push_catalog() {
+                return Response::from_error(&e);
             }
         }
         resp
@@ -1026,11 +1025,7 @@ impl Coordinator {
         let canonical_filter = flock.canonical_filter();
         let effective = service.admission_limits(limits)?;
         let (db, fp) = service.snapshot();
-        let key = CacheKey {
-            query: program.canonical_query_text(),
-            agg_pos: flock.agg_head_pos(),
-            catalog_fp: fp,
-        };
+        let key = CacheKey::new(program.canonical_query_text(), &flock, fp);
         let n = self.core.slots.len();
 
         // Coordinator-tier monotone cache: one sharded run answers
@@ -1067,32 +1062,12 @@ impl Coordinator {
 
         // Plan at the coordinator: the search sees full-catalog
         // statistics, and shards execute exactly the steps it picks.
-        let mut plan_cached = false;
-        let cached_steps = service.plan_cache_lookup(&key);
-        let (plan, strategy) =
-            match cached_steps.and_then(|steps| QueryPlan::new(flock.clone(), steps).ok()) {
-                Some(plan) => {
-                    plan_cached = true;
-                    (plan, "scatter-gather(plan-cache)")
-                }
-                None => {
-                    let searched = if filter.is_monotone() {
-                        best_plan_with(&flock, &db, &ctx).ok().map(|(plan, _)| plan)
-                    } else {
-                        None
-                    };
-                    match searched {
-                        Some(plan) => {
-                            service.plan_cache_insert(&key, plan.steps.clone());
-                            (plan, "scatter-gather")
-                        }
-                        None => (
-                            direct_plan(&flock).map_err(ServerError::from_eval)?,
-                            "scatter-gather(direct)",
-                        ),
-                    }
-                }
-            };
+        let (plan, choice) = service.choose_plan(&key, &flock, &db, &ctx)?;
+        let strategy = match choice {
+            PlanChoice::Cached => "scatter-gather(plan-cache)",
+            PlanChoice::Searched => "scatter-gather",
+            PlanChoice::Direct => "scatter-gather(direct)",
+        };
 
         // The fragment partition (and the fingerprints workers verify):
         // cached across requests, keyed by the master fingerprint.
@@ -1179,21 +1154,8 @@ impl Coordinator {
         // Coordinator-tier entries are delta-maintainable too: the
         // coordinator holds the master catalog, so its `commit_record`
         // maintains these in place on `append`/`retract` exactly like
-        // the standalone server (shardable programs never carry views,
-        // so only the flock-shape gate applies).
-        let delta = FlockDelta::maintainable(&flock)
-            .then(|| FlockDelta::build(&flock, &db, &DeltaLimits::default()).ok())
-            .flatten()
-            .map(|d| Arc::new(Mutex::new(d)));
-        service.result_cache_insert(
-            key,
-            CachedResult {
-                baseline,
-                scored,
-                strategy: strategy.to_string(),
-                delta,
-            },
-        );
+        // the standalone server.
+        service.fill_cache(key, program, &db, baseline, scored, strategy);
         self.core.counters.sharded.fetch_add(1, Ordering::Relaxed);
         let meta = extend_json(
             &json_report(
@@ -1203,7 +1165,7 @@ impl Coordinator {
                 &ctx.stats(),
                 0,
                 0,
-                &service.cache_report(false, plan_cached),
+                &service.cache_report(false, choice == PlanChoice::Cached),
             ),
             &format!(
                 "\"sharded\":true,\"shards\":{n},\"rescatters\":{},\"failovers\":{},\

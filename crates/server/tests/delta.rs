@@ -69,6 +69,31 @@ fn stat(svc: &FlockService, key: &str) -> u64 {
     json_u64(&meta, key).unwrap_or_else(|| panic!("missing {key} in {meta}"))
 }
 
+/// A maintainable flock whose maintenance-state build is refused is
+/// still answered and cached, and the refusal is counted: the README's
+/// pair flock over `gen baskets 7` exceeds the default delta work
+/// budget.
+#[test]
+fn refused_delta_build_is_counted() {
+    let svc = FlockService::new(ServerConfig::default(), Database::new());
+    ok_parts(svc.handle_light(&Request::Gen {
+        kind: "baskets".to_string(),
+        seed: 7,
+    }));
+    assert_eq!(stat(&svc, "delta_refused"), 0);
+    let pair = "QUERY: answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2 \
+                FILTER: COUNT(answer.B) >= 20";
+    let limits = RequestLimits::default();
+    let (meta, cold) = ok_parts(svc.handle_flock(pair, None, &limits, 2));
+    assert!(meta.contains("\"cache_hit\":false"), "{meta}");
+    assert_eq!(stat(&svc, "delta_refused"), 1);
+    // The plain entry still serves repeats; a hit builds nothing.
+    let (meta, warm) = ok_parts(svc.handle_flock(pair, None, &limits, 2));
+    assert!(meta.contains("\"cache_hit\":true"), "{meta}");
+    assert_eq!(warm, cold);
+    assert_eq!(stat(&svc, "delta_refused"), 1);
+}
+
 /// The headline acceptance test: warm the cache, append a batch, and
 /// the re-issued query is answered **from the maintained entry** — a
 /// cache hit (no recompute), counted by `delta_maintained`, and

@@ -6,7 +6,8 @@ use proptest::prelude::*;
 
 use query_flocks::core::{
     enumerate_plans, evaluate_direct, evaluate_dynamic, evaluate_naive, execute_plan,
-    DynamicConfig, JoinOrderStrategy, QueryFlock,
+    execute_plan_scored_with, flock_result_from_scored, DynamicConfig, ExecContext,
+    JoinOrderStrategy, QueryFlock, QueryPlan,
 };
 use query_flocks::storage::{Database, Relation, Schema, Value};
 
@@ -46,6 +47,19 @@ fn basket_db(rows: &[(i64, u8)]) -> Database {
     db
 }
 
+/// A plan's scored run (the server's evaluation path), reduced to the
+/// flock result at the flock's own filter.
+fn scored_result(flock: &QueryFlock, plan: &QueryPlan, db: &Database) -> Relation {
+    let run = execute_plan_scored_with(
+        plan,
+        db,
+        JoinOrderStrategy::Greedy,
+        &ExecContext::unbounded(),
+    )
+    .unwrap();
+    flock_result_from_scored(flock, &run.scored, flock.filter())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -70,6 +84,8 @@ proptest! {
         for plan in enumerate_plans(&flock, &db).unwrap() {
             let run = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
             prop_assert_eq!(run.result.tuples(), naive.tuples());
+            let scored = scored_result(&flock, &plan, &db);
+            prop_assert_eq!(scored.tuples(), naive.tuples(), "scored plan: {}", plan);
         }
         let dynamic = evaluate_dynamic(&flock, &db, &DynamicConfig::default()).unwrap();
         prop_assert_eq!(dynamic.result.tuples(), naive.tuples());
@@ -110,6 +126,8 @@ proptest! {
         for plan in enumerate_plans(&flock, &db).unwrap() {
             let run = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
             prop_assert_eq!(run.result.tuples(), naive.tuples(), "plan: {}", plan);
+            let scored = scored_result(&flock, &plan, &db);
+            prop_assert_eq!(scored.tuples(), naive.tuples(), "scored plan: {}", plan);
         }
         let dynamic = evaluate_dynamic(&flock, &db, &DynamicConfig::default()).unwrap();
         prop_assert_eq!(dynamic.result.tuples(), naive.tuples());
@@ -141,6 +159,8 @@ proptest! {
         for plan in enumerate_plans(&flock, &db).unwrap() {
             let run = execute_plan(&plan, &db, JoinOrderStrategy::Greedy).unwrap();
             prop_assert_eq!(run.result.tuples(), naive.tuples(), "plan: {}", plan);
+            let scored = scored_result(&flock, &plan, &db);
+            prop_assert_eq!(scored.tuples(), naive.tuples(), "scored plan: {}", plan);
         }
     }
 
