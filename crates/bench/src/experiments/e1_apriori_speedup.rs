@@ -106,8 +106,8 @@ fn thread_scaling_table(scale: Scale) -> Table {
     );
     table.note(format!(
         "configured parallelism: {n} (QF_THREADS or available cores); \
-         partition-parallel join probe, select, and per-worker aggregate \
-         accumulators, identical results at every thread count"
+         partition-parallel join probe, select, and aggregate chunks cut at \
+         group boundaries, identical results at every thread count"
     ));
     let thresholds: &[i64] = match scale {
         Scale::Small => &[5, 20],

@@ -565,14 +565,15 @@ fn try_symmetric_reuse(
     None
 }
 
-/// Distinct parameter prefixes in the extended answer.
+/// Distinct parameter prefixes in the extended answer. The parameters
+/// lead and the answer is sorted, so each prefix is one run.
 fn count_groups(answer_rel: &Relation, n_params: usize) -> usize {
-    let cols: Vec<usize> = (0..n_params).collect();
-    let mut seen = qf_storage::FastSet::default();
-    for t in answer_rel.iter() {
-        seen.insert(t.project(&cols));
-    }
-    seen.len()
+    let t = answer_rel.tuples();
+    let starts = t
+        .windows(2)
+        .filter(|w| w[0].values()[..n_params] != w[1].values()[..n_params])
+        .count();
+    starts + usize::from(!t.is_empty())
 }
 
 #[cfg(test)]

@@ -18,10 +18,13 @@
 //! sorted tuple slice is split into contiguous chunks processed on
 //! scoped worker threads (see [`crate::parallel`]), up to
 //! [`ExecContext::threads`] of them. Chunk outputs are reassembled in
-//! chunk order and canonicalized, so results are identical to
-//! single-thread execution.
+//! chunk order, so results are identical to single-thread execution.
+//! Select, anti-join, both joins and aggregate keep their input's
+//! sorted order and skip the sort; project and union sort their output.
 
-use qf_storage::{Database, FastMap, HashIndex, Relation, Schema, Tuple, Value};
+use std::ops::Range;
+
+use qf_storage::{Database, HashIndex, Relation, Schema, Tuple, Value};
 
 use crate::error::{EngineError, Result};
 use crate::expr::Predicate;
@@ -77,6 +80,11 @@ pub fn execute_with(plan: &PhysicalPlan, db: &Database, ctx: &ExecContext) -> Re
 
         PhysicalPlan::Select { input, predicates } => {
             ctx.enter("Select")?;
+            if let PhysicalPlan::Aggregate { input, group, agg } = input.as_ref() {
+                // A FILTER step's threshold: groups that fail it are
+                // dropped before their rows are built.
+                return execute_aggregate(input, group, *agg, predicates, db, ctx);
+            }
             let rel = execute_with(input, db, ctx)?;
             check_predicates(predicates, rel.schema().arity(), "Select")?;
             let width = rel.schema().arity();
@@ -195,29 +203,48 @@ pub fn execute_with(plan: &PhysicalPlan, db: &Database, ctx: &ExecContext) -> Re
         }
 
         PhysicalPlan::Aggregate { input, group, agg } => {
-            ctx.enter("Aggregate")?;
-            let rel = execute_with(input, db, ctx)?;
-            let arity = rel.schema().arity();
-            check_columns(group, arity, "Aggregate")?;
-            if let Some(c) = agg.input_column() {
-                check_columns(&[c], arity, "Aggregate")?;
-            }
-            aggregate(&rel, group, *agg, ctx)
+            execute_aggregate(input, group, *agg, &[], db, ctx)
         }
     }
 }
 
-/// Grouped aggregation. Output schema: group columns then the aggregate
-/// column (named after the function).
+/// The `Aggregate` operator, with the predicates of a `Select` directly
+/// above it (empty if none) applied to each group's output row.
+fn execute_aggregate(
+    input: &PhysicalPlan,
+    group: &[usize],
+    agg: AggFn,
+    having: &[Predicate],
+    db: &Database,
+    ctx: &ExecContext,
+) -> Result<Relation> {
+    ctx.enter("Aggregate")?;
+    let rel = execute_with(input, db, ctx)?;
+    let arity = rel.schema().arity();
+    check_columns(group, arity, "Aggregate")?;
+    if let Some(c) = agg.input_column() {
+        check_columns(&[c], arity, "Aggregate")?;
+    }
+    check_predicates(having, group.len() + 1, "Select")?;
+    aggregate(&rel, group, agg, having, ctx)
+}
+
+/// Grouped aggregation, keeping the output rows that pass every
+/// predicate of `having` (empty keeps every group). Output schema:
+/// group columns then the aggregate column (named after the function).
 ///
-/// Accumulation is partition-parallel: each worker folds its chunk into
-/// a private accumulator map, and the per-worker maps are merged
-/// ([`Acc::merge`]) on the caller's thread. COUNT/SUM/MIN/MAX all admit
-/// associative merges, so the result is independent of the partitioning.
+/// Relations are sorted, so when `group` is a leading-column prefix —
+/// a FILTER step groups by its parameters, which lead by construction —
+/// every group is one contiguous run of the input. The aggregate folds
+/// each run in turn and emits rows already in canonical order. Any
+/// other grouping first reorders each tuple group-columns-first and
+/// sorts. Parallel workers take chunks cut at run boundaries, so no
+/// group spans two workers and their outputs just concatenate.
 pub(crate) fn aggregate(
     rel: &Relation,
     group: &[usize],
     agg: AggFn,
+    having: &[Predicate],
     ctx: &ExecContext,
 ) -> Result<Relation> {
     let mut names: Vec<String> = group
@@ -235,64 +262,87 @@ pub(crate) fn aggregate(
     // MIN/MAX have no identity in a NULL-free value domain, so an empty
     // global MIN/MAX yields the empty relation.
     if group.is_empty() && rel.is_empty() {
+        let zero = [Value::int(0)];
         return match agg {
-            AggFn::Count | AggFn::Sum(_) => {
+            AggFn::Count | AggFn::Sum(_) if having.iter().all(|p| p.eval_row(&zero)) => {
                 ctx.charge_row(width)?;
-                Ok(Relation::from_tuples(
-                    schema,
-                    vec![Tuple::from([Value::int(0)])],
-                ))
+                Ok(Relation::from_sorted_dedup(schema, vec![Tuple::from(zero)]))
             }
-            AggFn::Min(_) | AggFn::Max(_) => Ok(Relation::empty(schema)),
+            _ => Ok(Relation::empty(schema)),
         };
     }
 
-    let workers = parallel::workers_for(rel.len(), ctx.threads());
-    ctx.note_workers(workers);
-    let maps = parallel::par_chunks(
-        rel.tuples(),
-        workers,
-        |chunk| -> Result<FastMap<Tuple, Acc>> {
-            let mut groups: FastMap<Tuple, Acc> = FastMap::default();
-            for t in chunk {
-                ctx.tick()?;
-                let key = t.project(group);
-                if !groups.contains_key(&key) {
-                    // A new group materializes an accumulator row. (A group
-                    // spanning chunks is charged once per chunk — a
-                    // deliberate overestimate; budgets trip early, never
-                    // late.)
-                    ctx.charge_row(width)?;
-                }
-                let acc = groups.entry(key).or_insert_with(|| Acc::new(agg));
-                acc.update(t, agg)?;
-            }
-            Ok(groups)
-        },
-    )?;
+    let k = group.len();
+    let reordered;
+    let (tuples, agg) = if group.iter().enumerate().all(|(i, &c)| c == i) {
+        (rel.tuples(), agg)
+    } else {
+        // Group columns first, then every input column, so input column
+        // `c` moves to `k + c`.
+        let arity = rel.schema().arity();
+        let cols: Vec<usize> = group.iter().copied().chain(0..arity).collect();
+        let mut v = Vec::with_capacity(rel.len());
+        for t in rel.iter() {
+            ctx.charge_row(cols.len())?;
+            v.push(t.project(&cols));
+        }
+        v.sort_unstable();
+        reordered = v;
+        let agg = match agg {
+            AggFn::Count => AggFn::Count,
+            AggFn::Sum(c) => AggFn::Sum(k + c),
+            AggFn::Min(c) => AggFn::Min(k + c),
+            AggFn::Max(c) => AggFn::Max(k + c),
+        };
+        (reordered.as_slice(), agg)
+    };
 
-    let mut groups: FastMap<Tuple, Acc> = FastMap::default();
-    for map in maps {
-        for (key, acc) in map {
-            match groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().merge(acc, agg)?;
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(acc);
-                }
+    let workers = parallel::workers_for(tuples.len(), ctx.threads());
+    ctx.note_workers(workers);
+    let ranges = run_aligned_ranges(tuples, k, workers);
+    let chunks = parallel::par_items(&ranges, workers, |r| -> Result<Vec<Tuple>> {
+        let chunk = &tuples[r.clone()];
+        let mut out: Vec<Tuple> = Vec::new();
+        let mut row: Vec<Value> = Vec::with_capacity(width);
+        let mut i = 0;
+        while i < chunk.len() {
+            let key = &chunk[i].values()[..k];
+            let mut acc = Acc::new(agg);
+            while i < chunk.len() && &chunk[i].values()[..k] == key {
+                ctx.tick()?;
+                acc.update(&chunk[i], agg)?;
+                i += 1;
+            }
+            row.clear();
+            row.extend_from_slice(key);
+            row.push(acc.finish()?);
+            if having.iter().all(|p| p.eval_row(&row)) {
+                ctx.charge_row(width)?;
+                out.push(Tuple::new(row.as_slice()));
             }
         }
+        Ok(out)
+    })?;
+    let tuples: Vec<Tuple> = chunks.into_iter().flatten().collect();
+    Ok(Relation::from_sorted_dedup(schema, tuples))
+}
+
+/// Split `tuples` into at most `workers` contiguous ranges, each cut
+/// moved forward to the next change of the leading `k` columns.
+fn run_aligned_ranges(tuples: &[Tuple], k: usize, workers: usize) -> Vec<Range<usize>> {
+    let mut ranges = Vec::with_capacity(workers);
+    let mut start = 0;
+    for r in parallel::chunk_ranges(tuples.len(), workers) {
+        let mut end = r.end.max(start);
+        while end < tuples.len() && tuples[end - 1].values()[..k] == tuples[end].values()[..k] {
+            end += 1;
+        }
+        if end > start {
+            ranges.push(start..end);
+            start = end;
+        }
     }
-    let tuples: Vec<Tuple> = groups
-        .into_iter()
-        .map(|(key, acc)| {
-            let mut v = key.values().to_vec();
-            v.push(acc.finish()?);
-            Ok(Tuple::from(v))
-        })
-        .collect::<Result<_>>()?;
-    Ok(Relation::from_tuples(schema, tuples))
+    ranges
 }
 
 /// Running aggregate state for one group.
@@ -334,36 +384,6 @@ impl Acc {
             (acc, agg) => {
                 return Err(EngineError::AggregateType {
                     detail: format!("accumulator {} does not accept {}", acc.kind(), agg.name()),
-                })
-            }
-        }
-        Ok(())
-    }
-
-    /// Fold another group's state (from a different partition) into
-    /// this one. All four aggregates are associative and commutative,
-    /// so merge order does not affect the result.
-    fn merge(&mut self, other: Acc, agg: AggFn) -> Result<()> {
-        match (self, other) {
-            (Acc::Count(a), Acc::Count(b)) => *a += b,
-            (Acc::Sum(a), Acc::Sum(b)) => *a = a.saturating_add(b),
-            (Acc::MinMax(a), Acc::MinMax(b)) => {
-                *a = match (*a, b) {
-                    (Some(x), Some(y)) => Some(if matches!(agg, AggFn::Min(_)) {
-                        x.min(y)
-                    } else {
-                        x.max(y)
-                    }),
-                    (x, y) => x.or(y),
-                };
-            }
-            (acc, other) => {
-                return Err(EngineError::AggregateType {
-                    detail: format!(
-                        "cannot merge accumulator {} into {}",
-                        other.kind(),
-                        acc.kind()
-                    ),
                 })
             }
         }
@@ -613,10 +633,6 @@ mod tests {
         let t = Tuple::from([Value::int(1)]);
         let err = acc.update(&t, AggFn::Sum(0)).unwrap_err();
         assert!(matches!(err, EngineError::AggregateType { .. }));
-        let err = Acc::new(AggFn::Count)
-            .merge(Acc::new(AggFn::Min(0)), AggFn::Count)
-            .unwrap_err();
-        assert!(matches!(err, EngineError::AggregateType { .. }));
     }
 
     #[test]
@@ -627,13 +643,14 @@ mod tests {
 
     #[test]
     fn parallel_execution_matches_single_thread_on_large_input() {
-        // Large enough that workers_for actually fans out (> PAR_THRESHOLD).
+        // Large enough that workers_for actually fans out (> PAR_THRESHOLD),
+        // with about 8 rows per key so the self-join stays near 8n rows.
         let n = crate::parallel::PAR_THRESHOLD as i64 * 3;
         let mut d = Database::new();
         d.insert(Relation::from_rows(
             Schema::new("big", &["k", "v"]),
             (0..n)
-                .map(|i| vec![Value::int(i % 397), Value::int(i)])
+                .map(|i| vec![Value::int(i % (n / 8)), Value::int(i)])
                 .collect(),
         ));
         let plan = PhysicalPlan::aggregate(

@@ -19,9 +19,9 @@ pub enum Operand {
 
 impl Operand {
     #[inline]
-    fn resolve(self, t: &Tuple) -> Value {
+    fn resolve(self, row: &[Value]) -> Value {
         match self {
-            Operand::Col(i) => t.get(i),
+            Operand::Col(i) => row[i],
             Operand::Const(v) => v,
         }
     }
@@ -68,7 +68,14 @@ impl Predicate {
     /// Evaluate against a tuple.
     #[inline]
     pub fn eval(&self, t: &Tuple) -> bool {
-        self.op.eval(self.lhs.resolve(t).cmp(&self.rhs.resolve(t)))
+        self.eval_row(t.values())
+    }
+
+    /// Evaluate against a row's values, before any tuple is built.
+    #[inline]
+    pub fn eval_row(&self, row: &[Value]) -> bool {
+        self.op
+            .eval(self.lhs.resolve(row).cmp(&self.rhs.resolve(row)))
     }
 
     /// Largest column index referenced, if any (for validation).

@@ -5,8 +5,12 @@
 //! tables entirely and merge the two sorted runs. Mining plans hit this
 //! case constantly — `FILTER`-step outputs are keyed by their parameter
 //! columns, which are the leading columns by construction — and the
-//! merge path avoids both the build table and the output sort of large
-//! runs.
+//! merge path avoids the build table.
+//!
+//! Neither path sorts output tuples: both emit `left ++ right` in
+//! (left row, right row) order, which over two sorted sets is already
+//! canonical. When the hash path builds the left side, it collects
+//! row-id pairs and sorts those as integers before building tuples.
 //!
 //! [`merge_join`] requires the leading-column precondition
 //! ([`merge_joinable`]) and asserts the key count fits both arities;
@@ -94,10 +98,10 @@ pub fn merge_join_with(
             }
         }
     }
-    // The merge emits in left-major sorted order, but concatenated
-    // tuples within a run may interleave; a final canonicalization pass
-    // is still cheap because runs are short. Use the sorting builder.
-    Ok(Relation::from_tuples(schema, out))
+    // Runs come in key order, and within a run every left tuple is
+    // paired with the right run in order: the output is left-major over
+    // two sorted sets, so it is already sorted and distinct.
+    Ok(Relation::from_sorted_dedup(schema, out))
 }
 
 /// Ungoverned [`merge_join_with`] (unbounded context).
@@ -142,26 +146,51 @@ pub fn join_auto_with(
     let idx = HashIndex::build(build, build_keys);
     let workers = parallel::workers_for(probe.len(), ctx.threads());
     ctx.note_workers(workers);
-    let chunks = parallel::par_chunks(probe.tuples(), workers, |chunk| -> Result<Vec<Tuple>> {
-        let mut out: Vec<Tuple> = Vec::new();
-        for t in chunk {
-            ctx.tick()?;
-            for &row in idx.probe(&t.project(probe_keys)) {
-                ctx.charge_row(width)?;
-                let bt = &build.tuples()[row as usize];
-                // Output columns are always left ++ right, whichever
-                // side was built.
-                out.push(if build_left {
-                    bt.concat(t)
-                } else {
-                    t.concat(bt)
-                });
+    let (lt, rt) = (left.tuples(), right.tuples());
+    let out: Vec<Tuple> = if build_left {
+        // Probing the right side finds (left row, right row) pairs in
+        // right-major order: collect them as `left << 32 | right` ids,
+        // sort those as integers, then build the tuples.
+        let ranges = parallel::chunk_ranges(probe.len(), workers);
+        let chunks = parallel::par_items(&ranges, workers, |r| -> Result<Vec<u64>> {
+            let mut ids: Vec<u64> = Vec::new();
+            for p in r.clone() {
+                ctx.tick()?;
+                for &b in idx.probe(&rt[p].project(probe_keys)) {
+                    ctx.charge_row(width)?;
+                    ids.push(u64::from(b) << 32 | p as u64);
+                }
             }
-        }
-        Ok(out)
-    })?;
-    let out: Vec<Tuple> = chunks.into_iter().flatten().collect();
-    Ok(Relation::from_tuples(schema, out))
+            Ok(ids)
+        })?;
+        let mut ids: Vec<u64> = chunks.into_iter().flatten().collect();
+        ids.sort_unstable();
+        let workers = parallel::workers_for(ids.len(), ctx.threads());
+        let chunks = parallel::par_chunks(&ids, workers, |c| -> Result<Vec<Tuple>> {
+            Ok(c.iter()
+                .map(|&id| lt[(id >> 32) as usize].concat(&rt[id as u32 as usize]))
+                .collect())
+        })?;
+        chunks.into_iter().flatten().collect()
+    } else {
+        // Probing the left side in order, with each bucket listing right
+        // rows in order, finds the pairs in (left row, right row) order.
+        let chunks = parallel::par_chunks(lt, workers, |chunk| -> Result<Vec<Tuple>> {
+            let mut out: Vec<Tuple> = Vec::new();
+            for t in chunk {
+                ctx.tick()?;
+                for &b in idx.probe(&t.project(probe_keys)) {
+                    ctx.charge_row(width)?;
+                    out.push(t.concat(&rt[b as usize]));
+                }
+            }
+            Ok(out)
+        })?;
+        chunks.into_iter().flatten().collect()
+    };
+    // Concatenating in (left row, right row) order over two sorted sets
+    // gives sorted, distinct tuples.
+    Ok(Relation::from_sorted_dedup(schema, out))
 }
 
 /// Ungoverned [`join_auto_with`] (unbounded context).

@@ -815,7 +815,7 @@ fn aggregate_spill(child: OpOut, group: &[usize], agg: AggFn, ctx: &ExecContext)
     if fits {
         // Small enough: the existing parallel in-memory aggregation.
         if let OpOut::Mem(rel) = child {
-            let out = exec::aggregate(&rel, group, agg, ctx)?;
+            let out = exec::aggregate(&rel, group, agg, &[], ctx)?;
             release_rel(ctx, &rel);
             return Ok(OpOut::Mem(out));
         }

@@ -120,42 +120,89 @@ fn concurrent_clients_get_correct_answers() {
     server.join();
 }
 
-/// With one worker and a one-slot queue, a volley of slow requests must
-/// produce at least one immediate, typed `overloaded` rejection — never
-/// a hang and never an untyped failure.
-#[test]
-fn overload_is_a_typed_immediate_rejection() {
-    // The two subgoals share no variables: the direct plan is a cross
-    // product (~160k tuples on 400 rows), slow enough to occupy the
-    // single worker while the volley lands.
-    let slow = "QUERY:\nanswer(B,C) :- r(B,$1) AND r(C,$2)\nFILTER:\nCOUNT(answer.B) >= 1";
+/// The flock that occupies a single worker: its two subgoals share no
+/// variables, so the direct plan is a cross product of `rows²` tuples.
+const SLOW: &str = "QUERY:\nanswer(B,C) :- r(B,$1) AND r(C,$2)\nFILTER:\nCOUNT(answer.B) >= 1";
+
+/// `demo_db` sizes for a blocker running [`SLOW`], smallest first. How
+/// long a blocker holds the worker depends on engine speed, so each
+/// blocker test checks that its blocker was still running when it
+/// mattered; if not, the run shows nothing and the test retries with
+/// the next, four times larger cross product.
+const BLOCKER_ROWS: [usize; 3] = [400, 800, 1600];
+
+/// The client thread running a blocker: its response and when it arrived.
+type Blocker = std::thread::JoinHandle<(Response, Instant)>;
+
+/// A server with one worker and a `queue_cap` queue over `demo_db(rows)`,
+/// with [`SLOW`] sent by a client thread and seen executing, or `None`
+/// if the blocker finished before it was seen.
+fn serve_with_blocker(rows: usize, queue_cap: usize) -> Option<(Server, String, Blocker)> {
     let server = Server::serve(
         ServerConfig {
             threads: 1,
-            queue_cap: 1,
+            queue_cap,
             ..Default::default()
         },
-        demo_db(400),
+        demo_db(rows),
         "127.0.0.1:0",
     )
     .unwrap();
     let addr = server.addr().to_string();
+    let blocker = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&addr).unwrap();
+            let resp = client.flock(SLOW, None, RequestLimits::default()).unwrap();
+            (resp, Instant::now())
+        })
+    };
+    let stats = await_stats(&addr, Duration::from_secs(10), |s| {
+        s.contains("\"active\":1") || blocker.is_finished()
+    });
+    if !stats.contains("\"active\":1") {
+        assert!(blocker.join().unwrap().0.is_ok());
+        server.shutdown();
+        server.join();
+        return None;
+    }
+    Some((server, addr, blocker))
+}
+
+/// With one worker busy and a one-slot queue full, a volley of requests
+/// must produce at least one immediate, typed `overloaded` rejection —
+/// never a hang and never an untyped failure.
+#[test]
+fn overload_is_a_typed_immediate_rejection() {
     let limits = RequestLimits {
         timeout_ms: Some(2_000),
         ..Default::default()
     };
-
-    let mut overloaded = 0;
-    for _round in 0..3 {
+    for rows in BLOCKER_ROWS {
+        let Some((server, addr, blocker)) = serve_with_blocker(rows, 1) else {
+            continue;
+        };
+        // Fill the one queue slot.
+        let filler = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::connect(&addr).unwrap();
+                client.flock(&flock_text(1), None, limits).unwrap()
+            })
+        };
+        await_stats(&addr, Duration::from_secs(10), |s| {
+            s.contains("\"queue_depth\":1") || s.contains("\"active\":0")
+        });
         let handles: Vec<_> = (0..6)
             .map(|_| {
                 let addr = addr.clone();
                 std::thread::spawn(move || {
                     let mut client = Client::connect(&addr).unwrap();
-                    client.flock(slow, None, limits).unwrap()
+                    client.flock(&flock_text(2), None, limits).unwrap()
                 })
             })
             .collect();
+        let mut overloaded = 0;
         for h in handles {
             match h.join().unwrap() {
                 Response::Ok { .. } => {}
@@ -170,17 +217,25 @@ fn overload_is_a_typed_immediate_rejection() {
                 }
             }
         }
-        if overloaded > 0 {
-            break;
+        let (stats, _) = ok_parts(Client::connect(&addr).unwrap().stats().unwrap());
+        blocker.join().unwrap();
+        filler.join().unwrap();
+        if overloaded == 0 && !stats.contains("\"active\":1") {
+            // The blocker may have freed the worker mid-volley.
+            server.shutdown();
+            server.join();
+            continue;
         }
+        assert!(
+            overloaded > 0,
+            "no request was rejected as overloaded: {stats}"
+        );
+        assert!(!stats.contains("\"rejected\":0"), "{stats}");
+        server.shutdown();
+        server.join();
+        return;
     }
-    assert!(overloaded > 0, "no request was rejected as overloaded");
-
-    let mut client = Client::connect(&addr).unwrap();
-    let (stats, _) = ok_parts(client.stats().unwrap());
-    assert!(!stats.contains("\"rejected\":0"), "{stats}");
-    server.shutdown();
-    server.join();
+    panic!("every blocker finished before the volley was answered");
 }
 
 /// Poll `stats` until `pred` holds or the deadline passes; returns the
@@ -198,7 +253,7 @@ fn await_stats(addr: &str, deadline: Duration, pred: impl Fn(&str) -> bool) -> S
                 }
             }
         }
-        std::thread::sleep(Duration::from_millis(50));
+        std::thread::sleep(Duration::from_millis(10));
     }
     last
 }
@@ -209,51 +264,47 @@ fn await_stats(addr: &str, deadline: Duration, pred: impl Fn(&str) -> bool) -> S
 /// ever executing.
 #[test]
 fn queue_expired_deadline_is_a_typed_queue_timeout() {
-    let slow = "QUERY:\nanswer(B,C) :- r(B,$1) AND r(C,$2)\nFILTER:\nCOUNT(answer.B) >= 1";
-    let server = Server::serve(
-        ServerConfig {
-            threads: 1,
-            queue_cap: 4,
+    const BUDGET: Duration = Duration::from_millis(50);
+    for rows in BLOCKER_ROWS {
+        let Some((server, addr, blocker)) = serve_with_blocker(rows, 4) else {
+            continue;
+        };
+        // This request's budget expires while it queues, provided the
+        // blocker still holds the worker by then.
+        let mut client = Client::connect(&addr).unwrap();
+        let limits = RequestLimits {
+            timeout_ms: Some(BUDGET.as_millis() as u64),
             ..Default::default()
-        },
-        demo_db(400),
-        "127.0.0.1:0",
-    )
-    .unwrap();
-    let addr = server.addr().to_string();
-
-    // Occupy the single worker with a slow cross product.
-    let blocker = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let mut client = Client::connect(&addr).unwrap();
-            client.flock(slow, None, RequestLimits::default()).unwrap()
-        })
-    };
-    // Give the blocker time to be admitted and start executing.
-    std::thread::sleep(Duration::from_millis(200));
-
-    // This request's 50 ms budget will expire while it queues.
-    let mut client = Client::connect(&addr).unwrap();
-    let limits = RequestLimits {
-        timeout_ms: Some(50),
-        ..Default::default()
-    };
-    match client.flock(&flock_text(1), None, limits).unwrap() {
-        Response::Err { kind, detail } => {
-            assert_eq!(kind, "timeout", "{detail}");
-            assert!(detail.contains("queue"), "wrong stage: {detail}");
+        };
+        let sent = Instant::now();
+        let resp = client.flock(&flock_text(1), None, limits).unwrap();
+        let (blocker_resp, blocker_done) = blocker.join().unwrap();
+        assert!(blocker_resp.is_ok());
+        let expired_in_queue = matches!(&resp, Response::Err { kind, detail }
+            if kind == "timeout" && detail.contains("queue"));
+        // The blocker's reply arrives a little after the worker frees
+        // up; allow for that before calling a worker free too early.
+        if !expired_in_queue && blocker_done < sent + BUDGET + Duration::from_millis(100) {
+            server.shutdown();
+            server.join();
+            continue;
         }
-        Response::Ok { meta, .. } => panic!("expired-in-queue request executed: {meta}"),
+        match resp {
+            Response::Err { kind, detail } => {
+                assert_eq!(kind, "timeout", "{detail}");
+                assert!(detail.contains("queue"), "wrong stage: {detail}");
+            }
+            Response::Ok { meta, .. } => panic!("expired-in-queue request executed: {meta}"),
+        }
+        let stats = await_stats(&addr, Duration::from_secs(5), |s| {
+            !s.contains("\"timeouts\":0")
+        });
+        assert!(!stats.contains("\"timeouts\":0"), "{stats}");
+        server.shutdown();
+        server.join();
+        return;
     }
-    assert!(blocker.join().unwrap().is_ok());
-
-    let stats = await_stats(&addr, Duration::from_secs(5), |s| {
-        !s.contains("\"timeouts\":0")
-    });
-    assert!(!stats.contains("\"timeouts\":0"), "{stats}");
-    server.shutdown();
-    server.join();
+    panic!("every blocker freed the worker before the queued request's deadline");
 }
 
 /// A client timeout larger than the server cap is min'd down, never
@@ -287,53 +338,63 @@ fn client_timeout_ask_is_minned_with_the_server_cap() {
 /// completion for nobody.
 #[test]
 fn disconnected_clients_job_is_cancelled_and_the_worker_freed() {
-    let slow = "QUERY:\nanswer(B,C) :- r(B,$1) AND r(C,$2)\nFILTER:\nCOUNT(answer.B) >= 1";
-    let server = Server::serve(
-        ServerConfig {
-            threads: 1,
-            queue_cap: 4,
-            ..Default::default()
-        },
-        demo_db(700),
-        "127.0.0.1:0",
-    )
-    .unwrap();
-    let addr = server.addr().to_string();
+    for rows in BLOCKER_ROWS {
+        let server = Server::serve(
+            ServerConfig {
+                threads: 1,
+                queue_cap: 4,
+                ..Default::default()
+            },
+            demo_db(rows),
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let addr = server.addr().to_string();
 
-    // Send the slow flock over a raw socket, then slam the connection.
-    {
-        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
-        let req = qf_server::Request::Flock {
-            text: slow.to_string(),
-            support: None,
-            limits: RequestLimits::default(),
-        };
-        let mut buf = Vec::new();
-        qf_server::frame::write_frame(&mut buf, req.render().as_bytes()).unwrap();
-        stream.write_all(&buf).unwrap();
-        stream.flush().unwrap();
-        // Make sure the frame was admitted before we vanish.
-        std::thread::sleep(Duration::from_millis(300));
-    } // drop = FIN; the server's hangup probe sees it within one poll
+        // Send the slow flock over a raw socket, then slam the connection
+        // once the job is executing.
+        {
+            let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+            let req = qf_server::Request::Flock {
+                text: SLOW.to_string(),
+                support: None,
+                limits: RequestLimits::default(),
+            };
+            let mut buf = Vec::new();
+            qf_server::frame::write_frame(&mut buf, req.render().as_bytes()).unwrap();
+            stream.write_all(&buf).unwrap();
+            stream.flush().unwrap();
+            // A finished job leaves its result in the cache.
+            await_stats(&addr, Duration::from_secs(10), |s| {
+                s.contains("\"active\":1") || s.contains("\"cached_results\":1")
+            });
+        } // drop = FIN; the server's hangup probe sees it within one poll
 
-    let stats = await_stats(&addr, Duration::from_secs(10), |s| {
-        !s.contains("\"cancelled\":0")
-    });
-    assert!(
-        !stats.contains("\"cancelled\":0"),
-        "job was not cancelled: {stats}"
-    );
+        // The worker reports the cancellation before it lets go of the job.
+        let stats = await_stats(&addr, Duration::from_secs(10), |s| {
+            !s.contains("\"cancelled\":0") || s.contains("\"active\":0")
+        });
+        if stats.contains("\"cancelled\":0") {
+            // The job finished before the hangup reached it.
+            assert!(stats.contains("\"cached_results\":1"), "{stats}");
+            server.shutdown();
+            server.join();
+            continue;
+        }
 
-    // The worker is free again: a normal request completes promptly.
-    let mut client = Client::connect(&addr).unwrap();
-    let (_, body) = ok_parts(
-        client
-            .flock(&flock_text(1), None, RequestLimits::default())
-            .unwrap(),
-    );
-    assert!(!body.is_empty());
-    server.shutdown();
-    server.join();
+        // The worker is free again: a normal request completes promptly.
+        let mut client = Client::connect(&addr).unwrap();
+        let (_, body) = ok_parts(
+            client
+                .flock(&flock_text(1), None, RequestLimits::default())
+                .unwrap(),
+        );
+        assert!(!body.is_empty());
+        server.shutdown();
+        server.join();
+        return;
+    }
+    panic!("every job finished before its client's hangup was noticed");
 }
 
 /// A peer that opens a frame and then trickles nothing is reaped after

@@ -19,7 +19,8 @@
 //!   decisions.
 //! * **Cheap values.** Mining joins touch every tuple many times, so
 //!   [`Value`] is a two-word `Copy` type; strings are interned once into
-//!   [`Symbol`]s and compared as integers thereafter.
+//!   [`Symbol`]s, which test equality and hash as integers but order as
+//!   their strings (read through a lock-free id → string table).
 //!
 //! ```
 //! use qf_storage::{Database, Relation, Schema, Value};
